@@ -43,8 +43,9 @@ def encode(value: Any) -> bytes:
 
     Supported: ``None``, ``bool``, ``int``, ``str``, ``bytes``,
     ``list``, ``tuple``, ``dict`` (keys sorted by their encoding),
-    ``set``/``frozenset`` (elements sorted by their encoding), and
-    frozen dataclasses.  Anything else raises :class:`CodecError`.
+    ``set``/``frozenset`` (elements sorted by their encoding), frozen
+    dataclasses, and :class:`Encoded` splices of an existing encoding.
+    Anything else raises :class:`CodecError`.
     """
     out = bytearray()
     _encode_into(value, out)
@@ -128,7 +129,28 @@ def _encode_into(value: Any, out: bytearray) -> None:
         out += name
         _encode_into(fields, out)
         return
+    if isinstance(value, Encoded):
+        # Last, after every hot-path type: splices cost nothing elsewhere.
+        out += value.data
+        return
     raise CodecError(f"cannot canonically encode {type(value).__name__}: {value!r}")
+
+
+class Encoded:
+    """A value's canonical encoding, spliced verbatim by :func:`encode`.
+
+    ``encode(Encoded(encode(x)))`` equals ``encode(x)`` wherever ``x``
+    sits in a larger value, so a caller that already holds the bytes of
+    an unchanged sub-value (the checkpoint writer's per-entry cache) can
+    reuse them instead of re-encoding.  The bytes are trusted: passing
+    anything but a canonical encoding breaks injectivity.  Encode-only;
+    :func:`decode` yields the original value, never an ``Encoded``.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
 
 
 def _encode_sequence(tag: bytes, items: Any, out: bytearray) -> None:

@@ -211,10 +211,14 @@ class ServerStorage:
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
         """Persist a checkpoint, then GC WAL segments it fully covers.
 
-        The just-written file is read back and integrity-checked before
-        any segment is dropped: once those records are gone, this
-        checkpoint's skeletons are the only copy of the pruned prefix,
-        so GC must never act on a write the disk garbled.
+        The just-written file is read back and compared byte for byte
+        with the frame written before any segment is dropped: once
+        those records are gone, this checkpoint's skeletons are the
+        only copy of the pruned prefix, so GC must never act on a write
+        the disk garbled.  On a mismatch every segment stays and the
+        next checkpoint retries.  (The write itself re-encodes only
+        entries that changed, relying on annotations never being
+        mutated once interpreted; see :mod:`repro.storage.checkpoint`.)
         """
         # Invariant: a checkpoint never covers an unflushed block.  The
         # shim flushes before interpreting, so this is normally a
@@ -222,9 +226,11 @@ class ServerStorage:
         self.flush_wal()
         timers = self.timers
         live_metrics = self.live_metrics
-        if timers is not None or live_metrics is not None:
+        timed = timers is not None or live_metrics is not None
+        if timed:
             _started = perf_counter()
-            self.checkpoints.write(checkpoint)
+        verified = self.checkpoints.write(checkpoint)
+        if timed:
             _elapsed = perf_counter() - _started
             if timers is not None:
                 timers.observe("checkpoint-write", _elapsed)
@@ -232,13 +238,7 @@ class ServerStorage:
                 live_metrics.histogram("storage.checkpoint-write").observe(
                     _elapsed
                 )
-        else:
-            self.checkpoints.write(checkpoint)
-        if self.config.prune:
-            try:
-                self.checkpoints.load(checkpoint.seq)
-            except (StorageError, OSError):
-                return  # keep the WAL; the next checkpoint retries
+        if verified and self.config.prune:
             self._drop_covered_segments(checkpoint)
 
     def _drop_covered_segments(self, checkpoint: Checkpoint) -> None:

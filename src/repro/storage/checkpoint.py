@@ -40,7 +40,21 @@ skeletonized below the horizon) are materialized in full.  This makes
 checkpoint size proportional to work done, not blocks × labels.
 
 Files are written atomically (temp + rename) with a CRC-protected frame
-and the canonical codec — no pickle, same guarantees as the WAL.
+and the canonical codec — no pickle, same guarantees as the WAL.  Each
+write is verified by reading the file back and comparing it byte for
+byte with the frame just written; only a write that compares equal may
+prune older checkpoints (or, in :mod:`repro.storage.blockstore`, WAL
+segments).  The full decode stays on the recovery path
+(:meth:`CheckpointManager.load` / :meth:`~CheckpointManager.latest`).
+
+Writes cost what changed, not the whole resident set.  This rests on
+one invariant: **an annotation is never mutated once interpreted** —
+Algorithm 2 commits ``(PIs, Ms)`` at line 12 and every later step forks
+an instance copy-on-write first.  So :func:`capture_checkpoint` reuses
+the previous checkpoint's entry *object* for a ref still resident with
+the same delta base, and :class:`CheckpointManager` splices the cached
+encoding of any entry it sees again (:class:`repro.dag.codec.Encoded`).
+The file bytes are exactly those of a from-scratch encode.
 """
 
 from __future__ import annotations
@@ -145,6 +159,36 @@ def _materialize_entry(
     return {**entry, "pis": _merged_pis(states, ref), "base": None}
 
 
+def _live_entry(
+    interpreter: "Interpreter", ref: BlockRef, base: BlockRef | None
+) -> dict[str, Any]:
+    """A fresh state entry for a resident annotation, delta-encoded
+    against ``base`` (all labels when ``base`` is ``None``)."""
+    state = interpreter.state_of(ref)
+    own = interpreter.own_labels(ref)
+    labels = own if base is not None else state.pis.keys()
+    # Raw slot read: ``state.ms`` would materialize the lazily
+    # allocated buffers for every message-less block on every
+    # checkpoint, defeating the laziness exactly where it pays.
+    buffers = (
+        state._ms.snapshot()
+        if state._ms is not None
+        else {"in": {}, "out": {}}
+    )
+    return {
+        "pis": {
+            str(lbl): snapshot_process(state.pis[lbl])
+            for lbl in sorted(labels)
+        },
+        "in": {str(lbl): tuple(sorted(msgs, key=codec.encode))
+               for lbl, msgs in buffers["in"].items()},
+        "out": {str(lbl): tuple(sorted(msgs, key=codec.encode))
+                for lbl, msgs in buffers["out"].items()},
+        "own": tuple(sorted(str(lbl) for lbl in own)),
+        "base": base,
+    }
+
+
 def capture_checkpoint(
     seq: int,
     interpreter: "Interpreter",
@@ -166,7 +210,10 @@ def capture_checkpoint(
     so late references can rehydrate them until the horizon agreement
     retires them for good.  Entries for payload-pruned blocks become
     skeletons, and any carried entry whose delta base was just retired
-    is materialized in full first.
+    is materialized in full first.  It also makes capture cost what
+    changed: a ref resident in both snapshots, with the same delta
+    base, reuses ``previous``'s entry object as is — which in turn lets
+    :meth:`CheckpointManager.write` splice that entry's cached bytes.
     """
     live = [
         ref for ref in interpreter.interpreted
@@ -179,34 +226,22 @@ def capture_checkpoint(
             if ref in previous.states and not dag.payload_pruned(ref)
         ]
     planned = set(live) | set(carried)
+    # An interpreted annotation never changes (line 12 commits it once;
+    # copy-on-write forks before any later step), so an entry captured
+    # while the ref was resident stays exact for as long as its delta
+    # base does.  Entries carried for released refs may have been
+    # materialized, so a rehydrated ref gets a fresh one.
+    reusable = previous.states if previous is not None else {}
+    carried_before = previous.released if previous is not None else frozenset()
     states: dict[BlockRef, dict[str, Any]] = {}
     active: dict[BlockRef, tuple[Label, ...]] = {}
     for ref in live:
-        state = interpreter.state_of(ref)
-        own = interpreter.own_labels(ref)
         parent = _parent_ref(dag, ref)
         base = parent if (parent is not None and parent in planned) else None
-        labels = own if base is not None else state.pis.keys()
-        # Raw slot read: ``state.ms`` would materialize the lazily
-        # allocated buffers for every message-less block on every
-        # checkpoint, defeating the laziness exactly where it pays.
-        buffers = (
-            state._ms.snapshot()
-            if state._ms is not None
-            else {"in": {}, "out": {}}
-        )
-        states[ref] = {
-            "pis": {
-                str(lbl): snapshot_process(state.pis[lbl])
-                for lbl in sorted(labels)
-            },
-            "in": {str(lbl): tuple(sorted(msgs, key=codec.encode))
-                   for lbl, msgs in buffers["in"].items()},
-            "out": {str(lbl): tuple(sorted(msgs, key=codec.encode))
-                    for lbl, msgs in buffers["out"].items()},
-            "own": tuple(sorted(str(lbl) for lbl in own)),
-            "base": base,
-        }
+        entry = reusable.get(ref)
+        if entry is None or ref in carried_before or entry.get("base") != base:
+            entry = _live_entry(interpreter, ref, base)
+        states[ref] = entry
         active[ref] = tuple(sorted(interpreter.active_labels(ref)))
     for ref in carried:
         entry = previous.states[ref]  # type: ignore[union-attr]
@@ -368,10 +403,11 @@ def install_checkpoint(
 class CheckpointManager:
     """Writes, lists and loads checkpoint files in one directory.
 
-    ``retain`` bounds disk use: after a successful write, all but the
+    ``retain`` bounds disk use: after a *verified* write, all but the
     newest ``retain`` checkpoints are deleted.  Writes are atomic
     (temp file + rename), so a crash mid-checkpoint leaves the previous
-    checkpoint intact and recovery simply uses it.
+    checkpoint intact and recovery simply uses it; a write the disk
+    garbled deletes nothing, so the previous one stays intact too.
     """
 
     def __init__(self, directory: str | Path, retain: int = 2) -> None:
@@ -382,6 +418,11 @@ class CheckpointManager:
         self.retain = retain
         self.writes = 0
         self.bytes_written = 0
+        #: ``ref -> (entry, encoding)`` for the state entries of the
+        #: last checkpoint written.  An entry that comes back as the
+        #: very same object is spliced from here instead of re-encoded
+        #: (sound because entries are never mutated once captured).
+        self._encoded: dict[BlockRef, tuple[dict[str, Any], bytes]] = {}
 
     def _path(self, seq: int) -> Path:
         return self.directory / f"{_PREFIX}{seq:08d}{_SUFFIX}"
@@ -401,9 +442,14 @@ class CheckpointManager:
         sequences = self.sequences()
         return (sequences[-1] + 1) if sequences else 1
 
-    def write(self, checkpoint: Checkpoint) -> Path:
-        """Persist a checkpoint atomically; prunes old ones after."""
-        payload = codec.encode(_to_wire(checkpoint))
+    def write(self, checkpoint: Checkpoint) -> bool:
+        """Persist a checkpoint atomically and read it back.
+
+        Returns whether the file on disk equals, byte for byte, the
+        frame just written.  Only then are older checkpoints pruned: a
+        garbled write must never cost the last intact one.
+        """
+        payload = codec.encode(_to_wire(checkpoint, self._splice(checkpoint)))
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         path = self._path(checkpoint.seq)
         tmp = path.with_suffix(".tmp")
@@ -411,9 +457,33 @@ class CheckpointManager:
         tmp.replace(path)
         self.writes += 1
         self.bytes_written += len(frame)
+        try:
+            if path.read_bytes() != frame:
+                return False
+        except OSError:
+            return False
         for seq in self.sequences()[: -self.retain]:
             self._path(seq).unlink(missing_ok=True)
-        return path
+        return True
+
+    def _splice(self, checkpoint: Checkpoint) -> dict[str, codec.Encoded]:
+        """Wire-form ``states`` with every entry pre-encoded: reused
+        entry objects from the cache, the rest encoded now.  The cache
+        is replaced by this checkpoint's entries, so it never holds
+        more than one checkpoint's state bytes."""
+        cached = self._encoded
+        fresh: dict[BlockRef, tuple[dict[str, Any], bytes]] = {}
+        wire: dict[str, codec.Encoded] = {}
+        for ref, entry in checkpoint.states.items():
+            hit = cached.get(ref)
+            if hit is not None and hit[0] is entry:
+                data = hit[1]
+            else:
+                data = codec.encode(entry)
+            fresh[ref] = (entry, data)
+            wire[str(ref)] = codec.Encoded(data)
+        self._encoded = fresh
+        return wire
 
     def load(self, seq: int) -> Checkpoint:
         """Read and verify one checkpoint."""
@@ -440,11 +510,17 @@ class CheckpointManager:
         return None
 
 
-def _to_wire(checkpoint: Checkpoint) -> dict[str, Any]:
+def _to_wire(
+    checkpoint: Checkpoint, states: dict[str, Any] | None = None
+) -> dict[str, Any]:
+    """The codec form of ``checkpoint``; ``states`` overrides the
+    wire-form state entries (the writer passes pre-encoded ones)."""
+    if states is None:
+        states = {str(k): v for k, v in checkpoint.states.items()}
     return {
         "seq": checkpoint.seq,
         "refs": sorted(checkpoint.refs),
-        "states": {str(k): v for k, v in checkpoint.states.items()},
+        "states": states,
         "active": {str(k): tuple(str(l) for l in v) for k, v in checkpoint.active.items()},
         "released": sorted(checkpoint.released),
         "skeletons": {

@@ -8,6 +8,7 @@ and the figure reproductions need exactly this level of control.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Sequence
 
 from repro.crypto.keys import KeyRing
@@ -136,3 +137,29 @@ def fresh_interpreter(builder: ManualDagBuilder, protocol, **kwargs):
     from repro.interpret.interpreter import Interpreter
 
     return Interpreter(builder.dag, protocol, builder.servers, **kwargs)
+
+
+class LyingDisk:
+    """A disk that garbles checkpoint writes under ``directory``.
+
+    While :attr:`armed`, every ``*.tmp`` file written below
+    ``directory`` (the checkpoint writer's temp file) lands with one
+    byte flipped: the write "succeeds", but the file differs from the
+    frame handed to it.  Installed through ``monkeypatch``, so it is
+    undone when the test ends.
+    """
+
+    def __init__(self, monkeypatch, directory) -> None:
+        self.directory = Path(directory)
+        self.armed = True
+        self.garbled = 0
+        real_write = Path.write_bytes
+
+        def write_bytes(path, data):
+            if self.armed and path.suffix == ".tmp" and self.directory in path.parents:
+                data = bytearray(data)
+                data[len(data) // 2] ^= 0xFF
+                self.garbled += 1
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import LyingDisk
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
@@ -25,7 +26,7 @@ from repro.shim.shim import Shim
 from repro.runtime.compare import equivalent_traces, trace_differences
 from repro.storage.blockstore import StorageConfig
 from repro.storage.state_codec import annotation_fingerprint
-from repro.types import Label, make_servers
+from repro.types import BlockRef, Label, make_servers
 
 L = Label("l")
 
@@ -360,3 +361,72 @@ class TestRecoveryMechanics:
             for s in cluster.correct_servers
         }
         assert finals == {s: 10 for s in cluster.servers}
+
+
+class TestLyingDisk:
+    """A checkpoint write the disk garbles must cost nothing durable:
+    WAL segments stay until a write that reads back byte-identical,
+    and recovery falls back to the last intact checkpoint."""
+
+    @staticmethod
+    def droppable(storage, checkpoint):
+        """Segments ``checkpoint`` covers (what a verified write drops)."""
+        covered = set(checkpoint.skeletons)
+        return {
+            segment.index
+            for segment in storage.wal.segments()
+            if segment.index != storage.wal.active_index
+            and segment.refs
+            and all(BlockRef(ref) in covered for ref in segment.refs)
+        }
+
+    def test_garbled_checkpoint_keeps_wal_and_recovery_exact(
+        self, tmp_path, monkeypatch
+    ):
+        config = ClusterConfig(
+            storage_dir=tmp_path,
+            storage=StorageConfig(checkpoint_interval=4, segment_max_bytes=1024),
+        )
+        cluster = Cluster(brb_protocol, n=4, config=config)
+        labels = workload(cluster, count=8)
+        cluster.run_rounds(6)
+        shim = cluster.shim("s1")
+        storage = shim.storage
+        dropped = storage.wal.stats.segments_dropped
+        assert dropped > 0  # pruning is live before the disk starts lying
+
+        # 1. Garbled writes drop no segment, although they cover some.
+        disk = LyingDisk(monkeypatch, tmp_path / "s1")
+        cluster.run_rounds(3)
+        assert disk.garbled >= 2
+        assert storage.wal.stats.segments_dropped == dropped
+        covered = self.droppable(storage, shim._last_checkpoint)
+        assert covered, "garbled checkpoints covered nothing: vacuous"
+        assert covered <= {s.index for s in storage.wal.segments()}
+
+        # 2. The next clean checkpoint drops the segments it covers.
+        disk.armed = False
+        shim.checkpoint_now()
+        assert storage.wal.stats.segments_dropped > dropped
+        remaining = {s.index for s in storage.wal.segments()}
+        assert not covered & remaining
+        intact_seq = shim._last_checkpoint.seq
+
+        # 3. Crash with garbled checkpoints newest on disk (two of them,
+        #    so retention would have deleted the intact one had it run
+        #    before verification); recovery must fall back to it.
+        disk.armed = True
+        garbled = disk.garbled
+        cluster.run_rounds(2)
+        assert disk.garbled >= garbled + 2
+        cluster.crash("s1")
+        disk.armed = False
+        recovered = cluster.restart("s1")
+        assert recovered.recovery.checkpoint_seq == intact_seq
+        cluster.run_until(
+            lambda c: all(c.all_delivered(lbl) for lbl in labels)
+            and c.dags_converged(),
+            max_rounds=48,
+        )
+        for ref, ours, theirs in shared_fingerprints(cluster, "s2", "s1"):
+            assert ours == theirs, f"annotation mismatch at {ref[:8]}…"

@@ -4,9 +4,15 @@ The core property is the one the whole design rests on: *persisting is
 lossless*.  Any DAG, round-tripped through WAL write → close → reopen →
 rebuild, yields an identical ``BlockDag``, and (Lemma 4.2) an
 interpreter over the rebuilt DAG computes byte-identical annotations.
+
+The checkpoint writer's shortcuts (reused entry objects, spliced cached
+encodings) are checked against a from-scratch oracle over sampled fault
+schedules, crash/restart included.
 """
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ManualDagBuilder, fresh_interpreter
@@ -14,7 +20,24 @@ from repro.dag import codec
 from repro.dag.blockdag import BlockDag
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
+from repro.scenario import (
+    AllDelivered,
+    And,
+    ByzantineFault,
+    CrashFault,
+    DagsConverged,
+    FaultSchedule,
+    OpenLoopWorkload,
+    PartitionFault,
+    Scenario,
+    ScenarioRunner,
+    StorageSpec,
+    Topology,
+)
+from repro.shim import shim as shim_module
+from repro.storage import checkpoint as checkpoint_module
 from repro.storage.blockstore import ServerStorage, StorageConfig
+from repro.storage.checkpoint import _FRAME, _live_entry, _to_wire
 from repro.storage.state_codec import annotation_fingerprint, freeze, thaw
 from repro.storage.wal import WriteAheadLog
 from repro.types import Label
@@ -160,3 +183,110 @@ class TestFreezeThaw:
         thawed = thaw(codec.decode(codec.encode(freeze(value))))
         assert thawed == value
         assert type(thawed) is type(value)
+
+
+def checkpoint_schedule(partition_start, crash_round, crash_len, equivocate_at, seed):
+    """A partition x crash/restart x equivocator run with frequent
+    checkpoints and coordinated GC (released, carried and rehydrated
+    entries all occur)."""
+    return Scenario(
+        name="checkpoint-cache-prop",
+        protocol="brb",
+        description="sampled partition x crash x equivocator schedule",
+        seed=seed,
+        topology=Topology(
+            n=5, storage=StorageSpec(checkpoint_interval=6, prune=True)
+        ),
+        workload=OpenLoopWorkload(rate=1, rounds=4),
+        faults=FaultSchedule((
+            ByzantineFault(
+                server="s5", behaviour="equivocator",
+                equivocate_at=(equivocate_at,),
+            ),
+            PartitionFault(
+                start_round=partition_start,
+                heal_round=partition_start + 2,
+                group_a=("s1", "s2"),
+                group_b=("s3", "s4", "s5"),
+            ),
+            CrashFault(
+                server="s3",
+                crash_round=crash_round,
+                restart_round=crash_round + crash_len,
+            ),
+        )),
+        stop=And((AllDelivered(), DagsConverged())),
+        max_rounds=48,
+    )
+
+
+class TestCheckpointCacheOracle:
+    @given(
+        partition_start=st.integers(min_value=1, max_value=2),
+        crash_round=st.integers(min_value=2, max_value=4),
+        crash_len=st.integers(min_value=2, max_value=4),
+        equivocate_at=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    @example(
+        partition_start=2, crash_round=3, crash_len=2, equivocate_at=2, seed=0,
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_cached_writes_equal_from_scratch_encoding(
+        self, tmp_path_factory, partition_start, crash_round, crash_len,
+        equivocate_at, seed,
+    ):
+        scenario = checkpoint_schedule(
+            partition_start, crash_round, crash_len, equivocate_at, seed
+        )
+        captured = []  # every checkpoint capture produced (kept alive)
+        stats = {"writes": 0, "reused": 0, "reused_from_disk": 0}
+        real_capture = checkpoint_module.capture_checkpoint
+        real_write = checkpoint_module.CheckpointManager.write
+
+        def checked_capture(seq, interpreter, dag, owner=None, previous=None):
+            checkpoint = real_capture(
+                seq, interpreter, dag, owner=owner, previous=previous
+            )
+            from_disk = previous is not None and not any(
+                previous is c for c in captured
+            )
+            captured.append(checkpoint)
+            for ref, entry in checkpoint.states.items():
+                if ref in interpreter.released:
+                    continue  # carried for rehydration, not resident
+                if previous is None or previous.states.get(ref) is not entry:
+                    continue
+                fresh = _live_entry(interpreter, ref, entry["base"])
+                assert codec.encode(entry) == codec.encode(fresh), ref
+                stats["reused"] += 1
+                stats["reused_from_disk"] += from_disk
+            return checkpoint
+
+        def checked_write(manager, checkpoint):
+            verified = real_write(manager, checkpoint)
+            assert verified
+            data = manager._path(checkpoint.seq).read_bytes()
+            assert data[_FRAME.size:] == codec.encode(_to_wire(checkpoint))
+            stats["writes"] += 1
+            return verified
+
+        with mock.patch.object(
+            shim_module, "capture_checkpoint", checked_capture
+        ), mock.patch.object(
+            checkpoint_module.CheckpointManager, "write", checked_write
+        ):
+            runner = ScenarioRunner(
+                scenario, storage_root=tmp_path_factory.mktemp("ckpt-cache")
+            )
+            result = runner.run()
+
+        assert result.stopped_by == "stop-condition"
+        assert runner.cluster.restarts_performed == 1
+        assert stats["writes"] > 0 and stats["reused"] > 0, stats
+        recovered = runner.cluster.shim("s3").recovery
+        if recovered.checkpoint_seq is not None:
+            # ``previous`` was decoded from disk for the first capture
+            # after the restart; its entries were reused and must
+            # encode exactly like fresh ones.
+            assert stats["reused_from_disk"] > 0, stats

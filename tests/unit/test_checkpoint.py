@@ -1,14 +1,20 @@
 """Unit tests for interpreter checkpoints: capture, persist, install."""
 
+import dataclasses
+
 import pytest
 
-from helpers import ManualDagBuilder, fresh_interpreter
+from helpers import LyingDisk, ManualDagBuilder, fresh_interpreter
+from repro.dag import codec
 from repro.errors import CheckpointError
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
 from repro.storage.checkpoint import (
     CheckpointManager,
+    _FRAME,
+    _live_entry,
+    _to_wire,
     capture_checkpoint,
     install_checkpoint,
 )
@@ -169,3 +175,117 @@ class TestManager:
             assert annotation_fingerprint(
                 fresh, block.ref
             ) == annotation_fingerprint(interpreter, block.ref)
+
+
+class TestVerifiedWrite:
+    def test_clean_write_compares_equal(self, tmp_path):
+        builder, interpreter = interpreted_dag()
+        manager = CheckpointManager(tmp_path)
+        assert manager.write(capture_checkpoint(1, interpreter, builder.dag))
+
+    def test_garbled_write_keeps_the_only_intact_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        builder, interpreter = interpreted_dag()
+        manager = CheckpointManager(tmp_path, retain=1)
+        assert manager.write(capture_checkpoint(1, interpreter, builder.dag))
+        disk = LyingDisk(monkeypatch, tmp_path)
+        assert not manager.write(capture_checkpoint(2, interpreter, builder.dag))
+        assert disk.garbled == 1
+        # Retention waits for a verified write: seq 1 survives.
+        assert manager.sequences() == [1, 2]
+        with pytest.raises(CheckpointError):
+            manager.load(2)
+        assert manager.load(1).seq == 1
+        assert manager.latest().seq == 1
+
+        disk.armed = False
+        assert manager.write(capture_checkpoint(3, interpreter, builder.dag))
+        assert manager.sequences() == [3]
+
+
+def _payload(manager, seq):
+    data = manager._path(seq).read_bytes()
+    return data[_FRAME.size:]
+
+
+class TestEntryReuse:
+    def grown(self):
+        """A checkpoint, then one more interpreted layer."""
+        builder, interpreter = interpreted_dag()
+        first = capture_checkpoint(1, interpreter, builder.dag)
+        builder.round_all()
+        interpreter.run()
+        return builder, interpreter, first
+
+    def test_unchanged_entries_are_reused_by_identity(self):
+        builder, interpreter, first = self.grown()
+        second = capture_checkpoint(2, interpreter, builder.dag, previous=first)
+        new = set(second.states) - set(first.states)
+        assert new and set(first.states) <= set(second.states)
+        for ref, entry in second.states.items():
+            if ref in new:
+                assert entry is not first.states.get(ref)
+                continue
+            assert entry is first.states[ref]
+            fresh = _live_entry(interpreter, ref, entry["base"])
+            assert codec.encode(entry) == codec.encode(fresh)
+
+    def test_changed_base_gets_a_fresh_entry(self):
+        builder, interpreter, first = self.grown()
+        ref = next(r for r, e in first.states.items() if e["base"] is not None)
+        stale = {**first.states[ref], "base": None}
+        previous = dataclasses.replace(first, states={**first.states, ref: stale})
+        second = capture_checkpoint(2, interpreter, builder.dag, previous=previous)
+        assert second.states[ref] is not stale
+        assert second.states[ref] == _live_entry(
+            interpreter, ref, first.states[ref]["base"]
+        )
+
+    def test_entry_released_in_previous_is_rebuilt(self):
+        builder, interpreter, first = self.grown()
+        ref = next(iter(first.states))
+        previous = dataclasses.replace(first, released=frozenset({ref}))
+        second = capture_checkpoint(2, interpreter, builder.dag, previous=previous)
+        assert second.states[ref] is not first.states[ref]
+        assert second.states[ref] == first.states[ref]
+
+    def test_write_splices_reused_entries_and_encodes_only_new_ones(
+        self, tmp_path, monkeypatch
+    ):
+        builder, interpreter, first = self.grown()
+        manager = CheckpointManager(tmp_path)
+        manager.write(first)
+        second = capture_checkpoint(2, interpreter, builder.dag, previous=first)
+
+        entries = {id(entry): ref for ref, entry in second.states.items()}
+        encoded = []
+        real_encode = codec.encode
+
+        def counting_encode(value):
+            if id(value) in entries:
+                encoded.append(entries[id(value)])
+            return real_encode(value)
+
+        monkeypatch.setattr(codec, "encode", counting_encode)
+        assert manager.write(second)
+        monkeypatch.undo()
+
+        assert set(encoded) == set(second.states) - set(first.states)
+        assert _payload(manager, 2) == codec.encode(_to_wire(second))
+        # The cache holds exactly the last checkpoint's entries.
+        assert set(manager._encoded) == set(second.states)
+
+    def test_cache_forgets_refs_that_left_the_checkpoint(self, tmp_path):
+        builder, interpreter, first = self.grown()
+        manager = CheckpointManager(tmp_path)
+        manager.write(first)
+        dropped = next(iter(first.states))
+        smaller = dataclasses.replace(
+            first,
+            seq=2,
+            states={r: e for r, e in first.states.items() if r != dropped},
+        )
+        manager.write(smaller)
+        assert dropped not in manager._encoded
+        assert _payload(manager, 2) == codec.encode(_to_wire(smaller))

@@ -119,6 +119,35 @@ class TestDecode:
             codec.register_dataclass(int)
 
 
+class TestEncodedSplice:
+    @pytest.mark.parametrize(
+        "value",
+        [None, 7, "x", b"\x01", (1, "a"), [2, [3]], {"k": (Point(1, 2),)},
+         frozenset({1, 2}), Point(3, 4)],
+    )
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda v: {"a": 1, "inner": v, "z": None},
+            lambda v: [0, v, "tail"],
+            lambda v: (v, v),
+        ],
+        ids=["dict", "list", "tuple"],
+    )
+    def test_splice_equals_direct_encoding(self, value, nest):
+        spliced = codec.Encoded(codec.encode(value))
+        assert codec.encode(nest(spliced)) == codec.encode(nest(value))
+
+    def test_splice_at_top_level_is_verbatim(self):
+        data = codec.encode({"k": [1, 2]})
+        assert codec.encode(codec.Encoded(data)) == data
+
+    def test_spliced_encoding_decodes_to_the_value(self):
+        value = {"entry": {"pis": {"l": (1, 2)}, "base": None}}
+        spliced = {"entry": codec.Encoded(codec.encode(value["entry"]))}
+        assert codec.decode(codec.encode(spliced)) == value
+
+
 class TestEncodingKey:
     def test_total_order_is_consistent(self):
         values = [1, 2, "a", "b", (1,), (2,)]
