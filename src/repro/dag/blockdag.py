@@ -51,7 +51,8 @@ class Validator:
     Validation walks the predecessor closure iteratively (no recursion,
     so arbitrarily long chains are fine) and caches *permanent* verdicts
     — ``VALID`` and ``INVALID``.  ``PENDING`` verdicts are recomputed as
-    new blocks arrive.
+    new blocks arrive, each block once per query however many paths
+    reach it.
     """
 
     def __init__(self, verify: VerifyFn, resolve: ResolveFn) -> None:
@@ -82,6 +83,13 @@ class Validator:
         stack: list[tuple[Block, bool]] = [(block, False)]
         pending_somewhere = False
         on_stack: set[BlockRef] = set()
+        # Refs whose expansion already ended PENDING in this walk.  The
+        # walk changes nothing a pending verdict depends on, so expanding
+        # one again (the closure is a DAG, reachable along many paths)
+        # would only repeat it — once per path, which in a wide pending
+        # region such as a restarted server's catch-up runs to thousands
+        # of expansions and signature checks for a few dozen blocks.
+        pending: set[BlockRef] = set()
         while stack:
             current, expanded = stack.pop()
             if expanded:
@@ -106,11 +114,12 @@ class Validator:
                             break
                 if verdict is Validity.PENDING:
                     pending_somewhere = True
+                    pending.add(current.ref)
                 else:
                     self._cache[current.ref] = verdict
                 continue
 
-            if current.ref in self._cache:
+            if current.ref in self._cache or current.ref in pending:
                 continue
             if current.ref in on_stack:
                 # A reference cycle is cryptographically infeasible
@@ -120,7 +129,7 @@ class Validator:
             on_stack.add(current.ref)
             stack.append((current, True))
             for pred_ref in current.preds:
-                if pred_ref in self._cache:
+                if pred_ref in self._cache or pred_ref in pending:
                     continue
                 pred = self._resolve(pred_ref)
                 if pred is None or pred.ref != pred_ref or not self._signature_ok(pred):

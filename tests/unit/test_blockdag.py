@@ -149,6 +149,37 @@ class TestDefinition33Validity:
         assert first_pass >= 2  # parent + child verified on first pass
         assert len(calls) == first_pass + 1  # only the tip re-checked
 
+    def test_pending_region_is_walked_once_per_query(self, ring, store):
+        # Every block references the whole previous layer, so each block
+        # is reachable along 4^depth paths; the missing genesis of s4
+        # keeps the entire region PENDING (nothing gets cached).  One
+        # query must still expand each block once, not once per path.
+        calls = []
+
+        def counting_verify(server, payload, sig):
+            calls.append(server)
+            return ring.verify(server, payload, sig)
+
+        validator = Validator(verify=counting_verify, resolve=store.get)
+        servers = (S1, S2, S3, S4)
+        layer = [signed(ring, s, 0) for s in servers]
+        hole = layer[3]
+        for block in layer[:3]:
+            store[block.ref] = block
+        for k in range(1, 9):
+            refs = tuple(b.ref for b in layer)
+            layer = [signed(ring, s, k, preds=refs) for s in servers]
+            for block in layer:
+                store[block.ref] = block
+        tip = signed(ring, S1, 9, preds=tuple(b.ref for b in layer))
+        assert validator.validity(tip) is Validity.PENDING
+        assert len(calls) <= len(store) + 1
+        calls.clear()
+        assert validator.validity(tip) is Validity.PENDING  # re-derived
+        assert len(calls) <= len(store) + 1
+        store[hole.ref] = hole
+        assert validator.validity(tip) is Validity.VALID
+
     def test_genesis_may_reference_other_genesis(self, ring, validator, store):
         # Figure 2's B3 pattern at k=0: references permitted as long as
         # none is a parent (k = -1 is impossible).
