@@ -16,12 +16,29 @@ as their class name plus the tuple of field values, so distinct message
 types never collide.  No pickling — the format is independent of Python
 memory layout and stable across runs, which the determinism argument
 (Lemma 4.2) relies on.
+
+Encoding dispatches on a value's *exact* type through one table,
+``_ENCODERS``, of small per-type encoders whose length headers are
+packed by precompiled ``struct`` formats (the headers of short strings,
+ints, lists and tuples come from tables packed once).  A dataclass gets its own
+encoder the first time one of its instances is encoded: the header
+(tag, class name, field count) is built once, and each field is read by
+an ``attrgetter``.  A type that is not in the table (a subclass of a
+built-in such as an ``IntEnum``, a ``bytearray``, an unsupported value)
+goes to one fallback that tests the kinds in the order the format has
+always used — ``int`` before ``str`` before bytes-like, sequences,
+mappings, sets, dataclasses and splices — so the bytes of every value
+are what they were under a plain ``isinstance`` chain: ``ref(B)``, the
+``<_M`` order and stored checkpoints do not depend on how fast the
+encoder is.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+import struct
+from operator import attrgetter, itemgetter
+from typing import Any, Callable
 
 from repro.errors import CodecError
 
@@ -52,87 +69,183 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
+# lint: effect() — every encoder in ``_ENCODERS`` is one of this module's
+# type encoders or a ``_dataclass_encoder`` closure: each only appends
+# to ``out`` and recurses through the same table.
 def _encode_into(value: Any, out: bytearray) -> None:
-    if value is None:
-        out += _TAG_NONE
-        return
-    if value is True:
-        out += _TAG_TRUE
-        return
-    if value is False:
-        out += _TAG_FALSE
-        return
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        encoder = _fallback_encoder(value)
+    encoder(value, out)
+
+
+_pack_u32 = struct.Struct(">I").pack
+_pack_u64 = struct.Struct(">Q").pack
+_first = itemgetter(0)
+
+#: Lengths below this take their ``tag | length`` header from a table
+#: built once; real values are almost all that short.
+_SHORT = 64
+
+
+def _short_headers(tag: bytes, pack: Callable[[int], bytes]) -> tuple[bytes, ...]:
+    return tuple(tag + pack(size) for size in range(_SHORT))
+
+
+_INT_HEADERS = _short_headers(_TAG_INT, _pack_u32)
+_STR_HEADERS = _short_headers(_TAG_STR, _pack_u64)
+_LIST_HEADERS = _short_headers(_TAG_LIST, _pack_u64)
+_TUPLE_HEADERS = _short_headers(_TAG_TUPLE, _pack_u64)
+
+#: Placeholder for a length that is patched once the value is written.
+_LENGTH_SLOT = bytes(8)
+
+
+def _encode_none(value: None, out: bytearray) -> None:
+    out += _TAG_NONE
+
+
+def _encode_bool(value: bool, out: bytearray) -> None:
+    out += _TAG_TRUE if value else _TAG_FALSE
+
+
+def _encode_int(value: int, out: bytearray) -> None:
+    body = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
+    size = len(body)
+    out += _INT_HEADERS[size] if size < _SHORT else _TAG_INT + _pack_u32(size)
+    out += body
+
+
+def _encode_str(value: str, out: bytearray) -> None:
+    body = value.encode()
+    size = len(body)
+    out += _STR_HEADERS[size] if size < _SHORT else _TAG_STR + _pack_u64(size)
+    out += body
+
+
+def _encode_bytes(value: bytes | bytearray, out: bytearray) -> None:
+    out += _TAG_BYTES
+    out += _pack_u64(len(value))
+    out += value
+
+
+# lint: effect() — dispatches through ``_ENCODERS`` like ``_encode_into``.
+def _encode_items(
+    tag: bytes, headers: tuple[bytes, ...], items: Any, out: bytearray
+) -> None:
+    size = len(items)
+    out += headers[size] if size < _SHORT else tag + _pack_u64(size)
+    encoders = _ENCODERS
+    for item in items:
+        encoder = encoders.get(type(item))
+        if encoder is None:
+            encoder = _fallback_encoder(item)
+        encoder(item, out)
+
+
+def _encode_list(value: list, out: bytearray) -> None:
+    _encode_items(_TAG_LIST, _LIST_HEADERS, value, out)
+
+
+def _encode_tuple(value: tuple, out: bytearray) -> None:
+    _encode_items(_TAG_TUPLE, _TUPLE_HEADERS, value, out)
+
+
+def _encode_dict(value: dict, out: bytearray) -> None:
+    # Entries sort by key encoding alone (stable, so equal key encodings
+    # keep insertion order); each value is then encoded in place behind
+    # a length slot patched afterwards, sparing a copy per value.
+    entries = sorted(zip(map(encode, value), value.values()), key=_first)
+    out += _TAG_DICT
+    out += _pack_u64(len(entries))
+    for key_bytes, item in entries:
+        out += _pack_u64(len(key_bytes))
+        out += key_bytes
+        slot = len(out)
+        out += _LENGTH_SLOT
+        _encode_into(item, out)
+        out[slot : slot + 8] = _pack_u64(len(out) - slot - 8)
+
+
+def _encode_set(value: Any, out: bytearray) -> None:
+    encoded = sorted(map(encode, value))
+    out += _TAG_SET
+    out += _pack_u64(len(encoded))
+    for item in encoded:
+        out += _pack_u64(len(item))
+        out += item
+
+
+def _encode_spliced(value: Encoded, out: bytearray) -> None:
+    out += value.data
+
+
+# lint: effect() — the closure reads fields through ``attrgetter``s built
+# from the class's own field names and dispatches through ``_ENCODERS``
+# like ``_encode_into``; registering the class is a registry write.
+def _dataclass_encoder(cls: type) -> Callable[[Any, bytearray], None]:
+    """The encoder of one dataclass: a fixed header, then its fields.
+
+    The bytes are those of the class name followed by the tuple of
+    field values, so the header (``D``, name length, name, ``T``, field
+    count) is computed once per class, and each field is read by an
+    ``attrgetter`` instead of a ``getattr`` by name.
+    """
+    # Auto-register for decoding: anything encoded in-process can be
+    # decoded in-process (sufficient for the KV-store substrate).
+    _DATACLASS_REGISTRY.setdefault(cls.__qualname__, cls)
+    name = cls.__qualname__.encode("utf-8")
+    getters = tuple(attrgetter(f.name) for f in dataclasses.fields(cls))
+    header = (
+        _TAG_DATACLASS + _pack_u32(len(name)) + name
+        + _TAG_TUPLE + _pack_u64(len(getters))
+    )
+    encoders = _ENCODERS
+
+    def encode_dataclass(value: Any, out: bytearray) -> None:
+        out += header
+        for getter in getters:
+            item = getter(value)
+            encoder = encoders.get(type(item))
+            if encoder is None:
+                encoder = _fallback_encoder(item)
+            encoder(item, out)
+
+    return encode_dataclass
+
+
+def _fallback_encoder(value: Any) -> Callable[[Any, bytearray], None]:
+    """The encoder for a value whose exact type is not in the table.
+
+    Subclasses of the built-in types, ``bytearray``, dataclasses seen
+    for the first time, and unsupported values land here.  The checks
+    run in the order the encoding has always used (``None``, ``True``
+    and ``False`` come first, but their exact types are always in the
+    table), so an ``IntEnum`` encodes as an ``int``, a ``str`` enum as
+    a ``str``, and a dataclass that subclasses ``int`` as an ``int``.
+    Only a dataclass's encoder joins the table: it is the one verdict
+    that needs per-class work.
+    """
     if isinstance(value, int):
-        body = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
-        out += _TAG_INT
-        out += len(body).to_bytes(4, "big")
-        out += body
-        return
+        return _encode_int
     if isinstance(value, str):
-        body = value.encode("utf-8")
-        out += _TAG_STR
-        out += len(body).to_bytes(8, "big")
-        out += body
-        return
+        return _encode_str
     if isinstance(value, (bytes, bytearray)):
-        out += _TAG_BYTES
-        out += len(value).to_bytes(8, "big")
-        out += bytes(value)
-        return
+        return _encode_bytes
     if isinstance(value, list):
-        _encode_sequence(_TAG_LIST, value, out)
-        return
+        return _encode_list
     if isinstance(value, tuple):
-        _encode_sequence(_TAG_TUPLE, value, out)
-        return
+        return _encode_tuple
     if isinstance(value, dict):
-        items = sorted(
-            ((encode(k), encode(v)) for k, v in value.items()),
-            key=lambda kv: kv[0],
-        )
-        out += _TAG_DICT
-        out += len(items).to_bytes(8, "big")
-        for key_bytes, value_bytes in items:
-            out += len(key_bytes).to_bytes(8, "big")
-            out += key_bytes
-            out += len(value_bytes).to_bytes(8, "big")
-            out += value_bytes
-        return
+        return _encode_dict
     if isinstance(value, (set, frozenset)):
-        encoded = sorted(encode(v) for v in value)
-        out += _TAG_SET
-        out += len(encoded).to_bytes(8, "big")
-        for item in encoded:
-            out += len(item).to_bytes(8, "big")
-            out += item
-        return
+        return _encode_set
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
-        cached = _ENCODE_CACHE.get(cls)
-        if cached is None:
-            # Auto-register for decoding: anything encoded in-process
-            # can be decoded in-process (sufficient for the KV-store
-            # substrate).  Field introspection is cached per class —
-            # ``dataclasses.fields`` rebuilds a tuple of Field objects
-            # on every call, which dominated message ordering (``<_M``)
-            # on the interpretation hot path.
-            _DATACLASS_REGISTRY.setdefault(cls.__qualname__, cls)
-            cached = (
-                cls.__qualname__.encode("utf-8"),
-                tuple(f.name for f in dataclasses.fields(value)),
-            )
-            _ENCODE_CACHE[cls] = cached
-        name, field_names = cached
-        fields = tuple(getattr(value, f) for f in field_names)
-        out += _TAG_DATACLASS
-        out += len(name).to_bytes(4, "big")
-        out += name
-        _encode_into(fields, out)
-        return
+        encoder = _ENCODERS[cls] = _dataclass_encoder(cls)
+        return encoder
     if isinstance(value, Encoded):
-        # Last, after every hot-path type: splices cost nothing elsewhere.
-        out += value.data
-        return
+        return _encode_spliced
     raise CodecError(f"cannot canonically encode {type(value).__name__}: {value!r}")
 
 
@@ -153,11 +266,21 @@ class Encoded:
         self.data = data
 
 
-def _encode_sequence(tag: bytes, items: Any, out: bytearray) -> None:
-    out += tag
-    out += len(items).to_bytes(8, "big")
-    for item in items:
-        _encode_into(item, out)
+#: Exact type -> encoder.  The built-in types are fixed; a dataclass's
+#: encoder is added the first time one of its instances is encoded.
+_ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {  # lint: registry — exact type -> encoder; a dataclass's entry is built deterministically from its class on first sight and never changes
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    list: _encode_list,
+    tuple: _encode_tuple,
+    dict: _encode_dict,
+    set: _encode_set,
+    frozenset: _encode_set,
+    Encoded: _encode_spliced,
+}
 
 
 def encoding_key(value: Any) -> bytes:
@@ -180,9 +303,6 @@ def encoding_key(value: Any) -> bytes:
 
 _DATACLASS_REGISTRY: dict[str, type] = {}  # lint: registry — populated once at import time by register_dataclass; lookups after that are pure
 
-#: Per-class encode metadata: ``(qualname bytes, field names)``.
-_ENCODE_CACHE: dict[type, tuple[bytes, tuple[str, ...]]] = {}  # lint: registry — per-type memo of immutable metadata; an entry is computed deterministically from the class and never changes
-
 
 def register_dataclass(cls: type) -> type:
     """Register a dataclass for decoding; usable as a decorator."""
@@ -197,8 +317,20 @@ def decode(data: bytes) -> Any:
 
     Inverse of :func:`encode` up to two harmless canonicalizations:
     sets decode as ``frozenset`` and byte-likes as ``bytes``.
+
+    Every malformed input raises :class:`CodecError`, including bytes
+    whose structure parses but whose content cannot be rebuilt: an
+    unhashable dict key or set member, invalid UTF-8, a dataclass whose
+    fields its constructor rejects, or nesting deeper than the
+    interpreter's recursion limit.  Callers that drop undecodable input
+    (the wire framing) therefore need to catch only that one error.
     """
-    value, offset = _decode_at(data, 0)
+    try:
+        value, offset = _decode_at(data, 0)
+    except CodecError:
+        raise
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise CodecError(f"malformed encoding: {type(exc).__name__}: {exc}") from exc
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after value")
     return value
@@ -267,5 +399,7 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         cls = _DATACLASS_REGISTRY.get(name)
         if cls is None:
             raise CodecError(f"dataclass not registered for decoding: {name}")
+        if type(fields) is not tuple:
+            raise CodecError(f"dataclass {name} fields are not a tuple")
         return cls(*fields), offset
     raise CodecError(f"unknown tag byte: {tag!r}")

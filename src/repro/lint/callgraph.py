@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import FileContext
 
 #: ``# lint: registry — reason`` on a module-level assignment marks an
-#: import-time registry (codec dataclass registry, encode cache): a
+#: import-time registry (codec dataclass registry, encoder table): a
 #: deliberately mutable module global whose population is idempotent
 #: and happens before any interpretation.
 _REGISTRY_RE = re.compile(

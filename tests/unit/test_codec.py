@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.dag import codec
+from repro.dag.block import Block
 from repro.errors import CodecError
 from repro.types import Request
 
@@ -117,6 +118,56 @@ class TestDecode:
     def test_register_dataclass_requires_dataclass(self):
         with pytest.raises(CodecError):
             codec.register_dataclass(int)
+
+
+def _u64(count: int) -> bytes:
+    return count.to_bytes(8, "big")
+
+
+def _dataclass_bytes(cls: type, fields: bytes) -> bytes:
+    name = cls.__qualname__.encode("utf-8")
+    return b"D" + len(name).to_bytes(4, "big") + name + fields
+
+
+class TestDecodeMalformed:
+    """Input that parses but cannot be rebuilt raises ``CodecError``,
+    never another exception: the wire framing drops undecodable frames
+    by catching exactly that error."""
+
+    def test_unhashable_dict_key(self):
+        key, value = codec.encode([1, 2]), codec.encode(None)
+        data = b"d" + _u64(1) + _u64(len(key)) + key + _u64(len(value)) + value
+        with pytest.raises(CodecError, match="unhashable"):
+            codec.decode(data)
+
+    def test_unhashable_set_member(self):
+        member = codec.encode({"a": 1})
+        data = b"S" + _u64(1) + _u64(len(member)) + member
+        with pytest.raises(CodecError, match="unhashable"):
+            codec.decode(data)
+
+    def test_dataclass_with_wrong_field_count(self):
+        with pytest.raises(CodecError, match="TypeError"):
+            codec.decode(_dataclass_bytes(Point, codec.encode((1,))))
+
+    def test_dataclass_fields_not_a_tuple(self):
+        with pytest.raises(CodecError, match="not a tuple"):
+            codec.decode(_dataclass_bytes(Point, codec.encode("xy")))
+
+    def test_invalid_utf8(self):
+        with pytest.raises(CodecError, match="UnicodeDecodeError"):
+            codec.decode(b"s" + _u64(1) + b"\xff")
+
+    def test_nesting_beyond_the_recursion_limit(self):
+        data = (b"l" + _u64(1)) * 5000 + b"N"
+        with pytest.raises(CodecError, match="RecursionError"):
+            codec.decode(data)
+
+    def test_block_with_negative_sequence_number(self):
+        codec.register_dataclass(Block)
+        fields = codec.encode(("s1", -1, (), (), b"", ()))
+        with pytest.raises(CodecError, match="sequence number"):
+            codec.decode(_dataclass_bytes(Block, fields))
 
 
 class TestEncodedSplice:

@@ -136,6 +136,32 @@ class TestResync:
         # The framing was intact: no byte-by-byte resync happened.
         assert decoder.stats.crc_failures == 0
 
+    def test_crc_valid_unhashable_dict_key_dropped_whole(self):
+        # The payload parses as a dict, but its key is a list: the codec
+        # cannot rebuild it.  Only this frame may be lost, never the
+        # connection's later frames.
+        key = codec.encode([1])
+        value = codec.encode(None)
+        payload = (
+            b"d"
+            + (1).to_bytes(8, "big")
+            + len(key).to_bytes(8, "big")
+            + key
+            + len(value).to_bytes(8, "big")
+            + value
+        )
+        frame = (
+            MAGIC
+            + len(payload).to_bytes(4, "big")
+            + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
+            + payload
+        )
+        decoder = FrameDecoder()
+        assert decoder.feed(frame + encode_frame(Hello("s1"))) == [Hello("s1")]
+        assert decoder.stats.decode_failures == 1
+        assert decoder.stats.frames_decoded == 1
+        assert decoder.stats.crc_failures == 0
+
     def test_magic_byte_dangling_at_chunk_boundary(self):
         # Garbage ending in the first magic byte: the decoder must keep
         # that byte, because the next chunk may complete the MAGIC.
