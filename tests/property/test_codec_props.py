@@ -219,9 +219,13 @@ class TestMatchesReferenceEncoder:
 
     @pytest.mark.parametrize(
         "value",
-        [1.5, object(), Loose, Child, [1, 1.5], {"k": object()}, (Tight(Loose),)],
+        [1.5, object(), Loose, Child, [1, 1.5], {"k": object()}, (Tight(Loose),),
+         {"b": 1.5, "a": object()}, {"a": 1.5, "b": 2.5}, {1.5: 1, "a": object()},
+         Loose(1.5, object())],
         ids=["float", "object", "dataclass-class", "dataclass-subclass-class",
-             "nested-float", "nested-object", "nested-dataclass-class"],
+             "nested-float", "nested-object", "nested-dataclass-class",
+             "dict-two-bad-values", "dict-bad-values-in-key-order",
+             "dict-bad-key-then-bad-value", "dataclass-two-bad-fields"],
     )
     def test_both_reject_unencodable_values(self, value):
         with pytest.raises(CodecError) as production:
