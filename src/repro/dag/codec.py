@@ -324,6 +324,32 @@ def decode(data: bytes) -> Any:
     return value
 
 
+def dict_items(data: bytes | memoryview) -> list[tuple[memoryview, memoryview]]:
+    """The ``(key, value)`` encodings inside one encoded dict.
+
+    Each is a zero-copy slice of ``data``, in the dict's canonical
+    (key-sorted) order, and nothing is decoded: a caller that holds a
+    dict's bytes can splice one value's encoding (:class:`Encoded`)
+    without re-encoding the value.  Raises :class:`CodecError` unless
+    ``data`` is exactly one encoded dict.
+    """
+    view = memoryview(data)
+    tag, offset = _read(view, 0, 1)
+    if tag != _TAG_DICT:
+        raise CodecError(f"not an encoded dict: tag byte {bytes(tag)!r}")
+    raw, offset = _read(view, offset, 8)
+    items = []
+    for _ in range(int.from_bytes(raw, "big")):
+        raw, offset = _read(view, offset, 8)
+        key, offset = _read(view, offset, int.from_bytes(raw, "big"))
+        raw, offset = _read(view, offset, 8)
+        value, offset = _read(view, offset, int.from_bytes(raw, "big"))
+        items.append((key, value))
+    if offset != len(view):
+        raise CodecError(f"{len(view) - offset} trailing bytes after value")
+    return items
+
+
 def _read(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
     end = offset + count
     if end > len(data):

@@ -67,6 +67,19 @@ class Hello:
     server: str
 
 
+@dataclass(frozen=True)
+class Goodbye:
+    """The last frame of an orderly stop: the sender is leaving on purpose.
+
+    A server that stops in order sends it on every outbound connection
+    before closing any socket, so its peers do not count the closed
+    connections that follow as losses.  A crashed (SIGKILLed) server
+    cannot send it, so its silence is what marks a real loss.
+    """
+
+    server: str
+
+
 def register_wire_types() -> None:
     """Register every dataclass that crosses the wire for decoding.
 
@@ -78,6 +91,7 @@ def register_wire_types() -> None:
     codec.register_dataclass(BlockEnvelope)
     codec.register_dataclass(FwdRequestEnvelope)
     codec.register_dataclass(Hello)
+    codec.register_dataclass(Goodbye)
 
 
 def encode_frame(value: Any) -> bytes:

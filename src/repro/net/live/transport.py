@@ -32,6 +32,12 @@ for free:
   damage (resyncs, CRC failures) land in a
   :class:`~repro.obs.metrics.MetricsRegistry` — never in the trace, so
   enabling metrics cannot change a trace's bytes.
+* **Orderly stop is not a loss.**  ``stop`` sends a
+  :class:`~repro.net.live.framing.Goodbye` on every outbound
+  connection before closing any socket.  When a write to a peer fails,
+  the pump first lets its ingress side read what that peer sent last:
+  a goodbye means the peer left on purpose, while silence followed by
+  EOF (a SIGKILL) is a ``conn-lost``.
 
 The event loop never leaks past this module's boundary: gossip calls
 ``send``/``schedule`` synchronously, and inbound frames call the
@@ -51,6 +57,7 @@ from repro.errors import NetworkError
 from repro.net.live.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameDecoder,
+    Goodbye,
     Hello,
     encode_frame,
     register_wire_types,
@@ -207,6 +214,14 @@ class LiveTransport(Transport):
         self._queues: dict[ServerId, deque[Envelope]] = {}
         self._wakeups: dict[ServerId, asyncio.Event] = {}
         self._writers: dict[ServerId, asyncio.StreamWriter] = {}
+        self._inbound: set[asyncio.StreamWriter] = set()
+        #: Peers whose last word was a goodbye (cleared by their next
+        #: hello: a new incarnation).
+        self._departed: set[ServerId] = set()
+        #: Open inbound connections per identified source, and an event
+        #: set whenever one ends or says goodbye.
+        self._ingress_open: dict[ServerId, int] = {}
+        self._ingress_changed = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -289,20 +304,42 @@ class LiveTransport(Transport):
             self._tasks.append(self._loop.create_task(self._pump(peer)))
 
     async def stop(self) -> None:
-        """Cancel pumps, close the listener and every open connection."""
+        """Cancel pumps, say goodbye to every connected peer, then close
+        the listener and every open connection."""
         self.closing = True
         for task in self._tasks:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
+        await self._farewell()
         for writer in list(self._writers.values()):
             writer.close()
         self._writers.clear()
+        # Inbound connections close only after the goodbye is out: a
+        # peer whose write to us fails has been told we left.  (They
+        # close before ``wait_closed``, which waits for them on 3.12.)
+        for writer in list(self._inbound):
+            writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+
+    async def _farewell(self) -> None:
+        """Send a :class:`Goodbye` on every outbound connection and wait
+        (bounded) until it is flushed."""
+        frame = encode_frame(Goodbye(str(self._self_id)))
+        writers = list(self._writers.values())
+        for writer in writers:
+            writer.write(frame)
+        flushed = asyncio.gather(
+            *(writer.drain() for writer in writers), return_exceptions=True
+        )
+        try:
+            await asyncio.wait_for(flushed, timeout=self.reconnect_ceiling)
+        except asyncio.TimeoutError:
+            pass
 
     def queued(self, dst: ServerId) -> int:
         """Envelopes waiting in ``dst``'s outbound queue."""
@@ -349,6 +386,7 @@ class LiveTransport(Transport):
         src: ServerId | None = None
         meters = self._ingress("unknown")
         damage_seen = (0, 0, 0, 0)
+        self._inbound.add(writer)
         try:
             while True:
                 chunk = await reader.read(65536)
@@ -357,11 +395,17 @@ class LiveTransport(Transport):
                 meters.bytes_in.inc(len(chunk))
                 for value in decoder.feed(chunk):
                     if isinstance(value, Hello):
+                        if src is not None:
+                            self._ingress_ended(src)
                         src = ServerId(value.server)
                         meters = self._ingress(str(src))
+                        self._ingress_began(src)
                     elif src is not None and isinstance(value, Envelope):
                         meters.frames_in.inc()
                         self._deliver(src, value)
+                    elif src is not None and isinstance(value, Goodbye):
+                        self._departed.add(src)
+                        self._ingress_changed.set()
                     else:
                         # Envelope before Hello, or a non-envelope
                         # value: attributable to nobody — drop it.
@@ -392,7 +436,44 @@ class LiveTransport(Transport):
             self.frames_damaged += (
                 decoder.stats.crc_failures + decoder.stats.decode_failures
             )
+            if src is not None:
+                self._ingress_ended(src)
+            self._inbound.discard(writer)
             writer.close()
+
+    def _ingress_began(self, src: ServerId) -> None:
+        # A hello opens a new incarnation's connection: any goodbye
+        # heard from an earlier one no longer applies.
+        self._departed.discard(src)
+        self._ingress_open[src] = self._ingress_open.get(src, 0) + 1
+
+    def _ingress_ended(self, src: ServerId) -> None:
+        self._ingress_open[src] -= 1
+        self._ingress_changed.set()
+
+    async def _left_in_order(self, peer: ServerId) -> bool:
+        """Whether ``peer`` said goodbye before our connection to it died.
+
+        A peer that stops in order flushes its goodbye and closes its
+        outbound connection (our ingress from it) before the connection
+        we write on closes; a killed peer's sockets all close at once.
+        Either way, when our write fails, the goodbye or the EOF is
+        already in our receive buffer, so wait (at most
+        ``reconnect_ceiling``) until ingress has read it.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.reconnect_ceiling
+        changed = self._ingress_changed
+        while peer not in self._departed and self._ingress_open.get(peer, 0):
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                break
+            changed.clear()
+            try:
+                await asyncio.wait_for(changed.wait(), timeout=remaining)
+            except asyncio.TimeoutError:
+                break
+        return peer in self._departed
 
     # -- egress ----------------------------------------------------------------
 
@@ -451,7 +532,8 @@ class LiveTransport(Transport):
                 except _CONNECT_ERRORS:
                     self._drop_writer(peer)
                     writer = None
-                    if not self.closing:
+                    left = await self._left_in_order(peer)
+                    if not left and not self.closing:
                         meters.conn_lost.inc()
                         lost_established = True
                     continue
@@ -463,7 +545,8 @@ class LiveTransport(Transport):
                 meters.bytes_out.inc(len(frame))
                 meters.queue_depth.set(len(queue))
         finally:
-            self._drop_writer(peer)
+            if not self.closing:  # stop() says goodbye on it first
+                self._drop_writer(peer)
 
     def _drop_writer(self, peer: ServerId) -> None:
         writer = self._writers.pop(peer, None)

@@ -55,6 +55,18 @@ the previous checkpoint's entry *object* for a ref still resident with
 the same delta base, and :class:`CheckpointManager` splices the cached
 encoding of any entry it sees again (:class:`repro.dag.codec.Encoded`).
 The file bytes are exactly those of a from-scratch encode.
+
+The same invariant covers **inherited snapshot bytes**.  When the
+agreed horizon retires a carried entry's delta base, capture
+materializes the entry with every label it inherits — but each of those
+label snapshots is the very object held by an entry the writer cached
+one write earlier (the retired base, an ancestor, or the entry's own
+delta form).  So a base-less entry that misses the cache is encoded
+with each such snapshot replaced by its bytes, sliced zero-copy out of
+the owning entry's cached encoding (:func:`repro.dag.codec.dict_items`).
+The identity map from snapshot to owner is built at most once per
+write, and only from the entries cached at that moment, so bytes from
+an entry object that has since been replaced are never spliced.
 """
 
 from __future__ import annotations
@@ -468,16 +480,24 @@ class CheckpointManager:
 
     def _splice(self, checkpoint: Checkpoint) -> dict[str, codec.Encoded]:
         """Wire-form ``states`` with every entry pre-encoded: reused
-        entry objects from the cache, the rest encoded now.  The cache
-        is replaced by this checkpoint's entries, so it never holds
-        more than one checkpoint's state bytes."""
+        entry objects from the cache, the rest encoded now (a base-less
+        one with the label snapshots the cache holds spliced in).  The
+        cache is replaced by this checkpoint's entries, so it never
+        holds more than one checkpoint's state bytes."""
         cached = self._encoded
         fresh: dict[BlockRef, tuple[dict[str, Any], bytes]] = {}
         wire: dict[str, codec.Encoded] = {}
+        inherited: _InheritedSnapshots | None = None
         for ref, entry in checkpoint.states.items():
             hit = cached.get(ref)
             if hit is not None and hit[0] is entry:
                 data = hit[1]
+            elif entry.get("base") is None and cached:
+                # Materialized (or a chain start): labels it inherits
+                # are snapshot objects some cached entry already holds.
+                if inherited is None:
+                    inherited = _InheritedSnapshots(cached)
+                data = codec.encode(inherited.splice(entry))
             else:
                 data = codec.encode(entry)
             fresh[ref] = (entry, data)
@@ -508,6 +528,60 @@ class CheckpointManager:
             except CheckpointError:
                 continue
         return None
+
+
+_PIS_KEY = codec.encode("pis")
+
+
+class _InheritedSnapshots:
+    """The cached bytes of every label snapshot one write can splice.
+
+    Built from the writer's entry cache, for one write only: it maps
+    each snapshot object in a cached entry's ``pis`` to that entry's ref
+    and label, and reads the snapshot's bytes out of the entry's cached
+    encoding (:func:`repro.dag.codec.dict_items`), never re-encoding it.
+    Object identity is sound here: the cache keeps every one of those
+    snapshots alive, and none is mutated once captured.
+    """
+
+    def __init__(
+        self, cached: dict[BlockRef, tuple[dict[str, Any], bytes]]
+    ) -> None:
+        self._cached = cached
+        self._owners = {
+            id(snapshot): (ref, lbl)
+            for ref, (entry, _) in cached.items()
+            for lbl, snapshot in entry["pis"].items()
+        }
+        self._slices: dict[BlockRef, dict[str, memoryview]] = {}
+
+    def splice(self, entry: dict[str, Any]) -> dict[str, Any]:
+        """``entry`` with each snapshot the cache holds replaced by its
+        bytes; it encodes exactly like ``entry``."""
+        pis: dict[str, Any] = {}
+        spliced = False
+        for lbl, snapshot in entry["pis"].items():
+            owner = self._owners.get(id(snapshot))
+            if owner is None:
+                pis[lbl] = snapshot
+                continue
+            ref, owner_lbl = owner
+            slices = self._slices.get(ref)
+            if slices is None:
+                slices = self._slices[ref] = self._label_slices(ref)
+            pis[lbl] = codec.Encoded(slices[owner_lbl])
+            spliced = True
+        return {**entry, "pis": pis} if spliced else entry
+
+    def _label_slices(self, ref: BlockRef) -> dict[str, memoryview]:
+        """Label -> snapshot bytes, sliced from ``ref``'s cached entry."""
+        for key, value in codec.dict_items(self._cached[ref][1]):
+            if key == _PIS_KEY:
+                return {
+                    codec.decode(bytes(lbl)): snapshot
+                    for lbl, snapshot in codec.dict_items(value)
+                }
+        raise CheckpointError(f"cached entry of {ref[:8]} has no pis")
 
 
 def _to_wire(

@@ -11,6 +11,10 @@ Three claims, in ascending order of ambition:
    converges: recovery resumes the chain, peers' retained queues and
    the tip beacon replay what was missed.
 
+One more claim needs no processes: an orderly stop is not a connection
+loss, and a silent one is (``TestOrderlyStop``, two in-process
+transports over UDS).
+
 These spawn OS processes (``python -m repro.node``) and sleep on real
 sockets, so they are integration-priced: seconds, not milliseconds.
 """
@@ -18,6 +22,10 @@ sockets, so they are integration-priced: seconds, not milliseconds.
 import asyncio
 from dataclasses import replace
 
+import pytest
+
+from repro.net.live import LiveTransport
+from repro.net.message import FwdRequestEnvelope
 from repro.obs.diverge import first_chain_divergence
 from repro.obs.export import read_jsonl
 from repro.runtime.live.cluster import LiveCluster
@@ -27,7 +35,7 @@ from repro.scenario.runner import run_scenario
 from repro.scenario.spec import Scenario, StorageSpec, Topology
 from repro.scenario.stop import RoundsElapsed
 from repro.scenario.workload import OpenLoopWorkload
-from repro.types import ServerId
+from repro.types import BlockRef, ServerId
 
 
 class TestLiveMatchesSimulated:
@@ -110,3 +118,104 @@ class TestKillMinusNineRecovery:
         for status in statuses.values():
             assert status.delivered.get("ledger", 0) >= 2
         assert cluster.restarts == 1
+
+
+A, B = ServerId("a"), ServerId("b")
+PROBE = FwdRequestEnvelope(BlockRef("00" * 32))
+
+
+async def _until(predicate, timeout=10.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+async def _silently():
+    """Stand-in for ``_farewell``: close without a goodbye."""
+
+
+class _Pair:
+    def __init__(self, directory):
+        self.addresses = {
+            A: f"unix:{directory}/a.sock", B: f"unix:{directory}/b.sock",
+        }
+        self.received = {A: 0, B: 0}
+        self.a = self.transport(A)
+
+    def transport(self, me):
+        def handler(src, envelope):
+            self.received[me] += 1
+
+        return LiveTransport(
+            me, self.addresses, handler=handler,
+            reconnect_floor=0.01, reconnect_ceiling=0.2,
+        )
+
+    async def connect(self, b):
+        """Start ``b`` and wait until traffic flows both ways."""
+        await b.start()
+        before = dict(self.received)
+        self.a.send(B, PROBE)
+        b.send(A, PROBE)
+        await _until(lambda: all(
+            self.received[s] > before[s] for s in (A, B)
+        ))
+
+    async def stop_and_probe(self, b, farewell):
+        """Stop ``b``, then make ``a`` write to it until the write fails
+        and ``a`` has started redialing."""
+        if not farewell:
+            b._farewell = _silently
+        await b.stop()
+        meters = self.a._egress(B)
+        retries = meters.connect_retries.value
+        self.a.send(B, PROBE)
+        await _until(lambda: meters.connect_retries.value > retries)
+        return meters
+
+
+class TestOrderlyStop:
+    """When ``b`` stops through ``stop()`` it sends a goodbye first, so
+    ``a``'s failed write to ``b`` is not ``transport.conn-lost``.  When
+    ``b``'s sockets close without it (what a SIGKILL looks like from the
+    outside), the same failed write is a loss.  A goodbye covers only
+    the incarnation that sent it."""
+
+    @pytest.mark.parametrize("farewell, losses", [(True, 0), (False, 1)])
+    def test_only_a_silent_stop_counts_as_a_loss(
+        self, tmp_path, farewell, losses
+    ):
+        async def scenario():
+            pair = _Pair(tmp_path)
+            await pair.a.start()
+            b = pair.transport(B)
+            await pair.connect(b)
+            meters = await pair.stop_and_probe(b, farewell)
+            await pair.a.stop()
+            return meters
+
+        meters = asyncio.run(scenario())
+        assert meters.conn_lost.value == losses
+        assert meters.reconnects.value == 0
+
+    def test_a_goodbye_covers_only_the_incarnation_that_sent_it(self, tmp_path):
+        async def scenario():
+            pair = _Pair(tmp_path)
+            await pair.a.start()
+            first = pair.transport(B)
+            await pair.connect(first)
+            meters = await pair.stop_and_probe(first, farewell=True)
+            assert meters.conn_lost.value == 0
+
+            second = pair.transport(B)  # the restarted peer says hello
+            await pair.connect(second)
+            await pair.stop_and_probe(second, farewell=False)
+            await pair.a.stop()
+            return meters
+
+        meters = asyncio.run(scenario())
+        assert meters.conn_lost.value == 1
+        # The restart after an orderly stop re-established nothing lost.
+        assert meters.reconnects.value == 0

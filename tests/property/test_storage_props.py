@@ -20,6 +20,7 @@ from repro.dag import codec
 from repro.dag.blockdag import BlockDag
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
+from repro.scenario import registry
 from repro.scenario import (
     AllDelivered,
     And,
@@ -290,3 +291,43 @@ class TestCheckpointCacheOracle:
             # after the restart; its entries were reused and must
             # encode exactly like fresh ones.
             assert stats["reused_from_disk"] > 0, stats
+
+    def test_materialized_writes_equal_from_scratch_encoding(
+        self, tmp_path
+    ):
+        """The sampled schedules above materialize entries but never one
+        that inherits a label it does not own; full-size flight-recorder
+        does, 128 times, so it exercises the inherited-snapshot splice."""
+        scenario = registry.get("flight-recorder")
+        stats = {"writes": 0, "inherited": 0, "spliced": 0}
+        real_write = checkpoint_module.CheckpointManager.write
+        real_splice = checkpoint_module._InheritedSnapshots.splice
+
+        def checked_write(manager, checkpoint):
+            verified = real_write(manager, checkpoint)
+            assert verified
+            data = manager._path(checkpoint.seq).read_bytes()
+            assert data[_FRAME.size:] == codec.encode(_to_wire(checkpoint))
+            stats["writes"] += 1
+            return verified
+
+        def counting_splice(inherited, entry):
+            spliced = real_splice(inherited, entry)
+            for lbl, value in spliced["pis"].items():
+                if lbl not in entry["own"]:
+                    stats["inherited"] += 1
+                    stats["spliced"] += isinstance(value, codec.Encoded)
+            return spliced
+
+        with mock.patch.object(
+            checkpoint_module.CheckpointManager, "write", checked_write
+        ), mock.patch.object(
+            checkpoint_module._InheritedSnapshots, "splice", counting_splice
+        ):
+            result = ScenarioRunner(scenario, storage_root=tmp_path).run()
+
+        assert result.stopped_by == "stop-condition"
+        assert stats["writes"] > 0 and stats["inherited"] > 0, stats
+        # No crash, so every write after the first has a warm cache and
+        # every inherited snapshot is spliced.
+        assert stats["spliced"] == stats["inherited"], stats

@@ -14,6 +14,7 @@ from repro.storage.checkpoint import (
     CheckpointManager,
     _FRAME,
     _live_entry,
+    _materialize_entry,
     _to_wire,
     capture_checkpoint,
     install_checkpoint,
@@ -289,3 +290,118 @@ class TestEntryReuse:
         manager.write(smaller)
         assert dropped not in manager._encoded
         assert _payload(manager, 2) == codec.encode(_to_wire(smaller))
+
+
+M = Label("m")
+
+
+def two_label_checkpoint():
+    """A written-ready checkpoint whose late blocks own only label ``m``
+    and inherit ``l`` along their chain (delta entries)."""
+    builder = ManualDagBuilder(4)
+    builder.round_all(rs_for={builder.servers[0]: [(L, Broadcast("v"))]})
+    for _ in range(4):
+        builder.round_all()
+    builder.round_all(rs_for={builder.servers[1]: [(M, Broadcast("w"))]})
+    builder.round_all()
+    interpreter = fresh_interpreter(builder, brb_protocol)
+    interpreter.run()
+    checkpoint = capture_checkpoint(1, interpreter, builder.dag)
+    tip = builder.dag.tip(builder.servers[0]).ref
+    assert checkpoint.states[tip]["own"] == (str(M),)
+    assert str(L) in _materialize_entry(checkpoint.states, tip)["pis"]
+    return builder, checkpoint, tip
+
+
+def retire(checkpoint, seq, gone):
+    """``checkpoint`` after the horizon retired ``gone``: every entry
+    based on it is materialized, as :func:`capture_checkpoint` does."""
+    states = {}
+    for ref, entry in checkpoint.states.items():
+        if ref == gone:
+            continue
+        if entry["base"] == gone:
+            entry = _materialize_entry(checkpoint.states, ref)
+        states[ref] = entry
+    return dataclasses.replace(checkpoint, seq=seq, states=states)
+
+
+def encoded_ids(monkeypatch):
+    """Start recording the id of every value passed to ``codec.encode``."""
+    seen = set()
+    real_encode = codec.encode
+
+    def recording_encode(value):
+        seen.add(id(value))
+        return real_encode(value)
+
+    monkeypatch.setattr(codec, "encode", recording_encode)
+    return seen
+
+
+class TestInheritedSnapshotSplice:
+    def test_materialized_entry_splices_inherited_snapshots(
+        self, tmp_path, monkeypatch
+    ):
+        _, first, tip = two_label_checkpoint()
+        manager = CheckpointManager(tmp_path)
+        assert manager.write(first)
+        second = retire(first, 2, first.states[tip]["base"])
+        entry = second.states[tip]
+        assert entry["base"] is None
+        inherited = {
+            lbl: snapshot for lbl, snapshot in entry["pis"].items()
+            if lbl not in entry["own"]
+        }
+        assert inherited
+
+        seen = encoded_ids(monkeypatch)
+        assert manager.write(second)
+        monkeypatch.undo()
+
+        assert _payload(manager, 2) == codec.encode(_to_wire(second))
+        # Every snapshot came from a cached entry's bytes, inherited
+        # ones and the entry's own alike: none was encoded again.
+        assert not {id(s) for s in entry["pis"].values()} & seen
+        assert not {id(s) for s in inherited.values()} & seen
+
+    def test_replaced_entry_is_never_spliced_from_its_old_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        _, first, tip = two_label_checkpoint()
+        chain = [tip]
+        while first.states[chain[-1]]["base"] is not None:
+            chain.append(first.states[chain[-1]]["base"])
+        # ``owner`` is the nearest ancestor owning ``l``; ``child`` is
+        # based on it and inherits that snapshot.
+        owner = next(r for r in chain if str(L) in first.states[r]["own"])
+        child = chain[chain.index(owner) - 1]
+        manager = CheckpointManager(tmp_path)
+        assert manager.write(first)
+
+        # Write 2: ``owner`` gets a new entry object whose ``l`` snapshot
+        # differs, while ``child`` materializes from the old one — so
+        # this write reads the owner's *old* cached bytes.
+        old = first.states[owner]
+        altered = {**old["pis"][str(L)], "label": "altered"}
+        replaced = {**old, "pis": {**old["pis"], str(L): altered}}
+        second = dataclasses.replace(first, seq=2, states={
+            **first.states,
+            owner: replaced,
+            child: _materialize_entry(first.states, child),
+        })
+        assert manager.write(second)
+        assert _payload(manager, 2) == codec.encode(_to_wire(second))
+
+        # Write 3: ``child`` materializes against the replacement; its
+        # snapshot must come from the owner's new bytes, not the old.
+        delta = {**second.states, child: first.states[child]}
+        third = dataclasses.replace(second, seq=3, states={
+            **second.states, child: _materialize_entry(delta, child),
+        })
+        assert third.states[child]["pis"][str(L)] is altered
+        seen = encoded_ids(monkeypatch)
+        assert manager.write(third)
+        monkeypatch.undo()
+        assert id(altered) not in seen  # spliced, from the new bytes
+        assert _payload(manager, 3) == codec.encode(_to_wire(third))

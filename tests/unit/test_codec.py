@@ -199,6 +199,50 @@ class TestEncodedSplice:
         assert codec.decode(codec.encode(spliced)) == value
 
 
+class TestDictItems:
+    @pytest.mark.parametrize(
+        "value",
+        [{}, {"pis": {"l": (1, 2)}, "base": None, "own": ("l",), 3: b"x"}],
+    )
+    def test_slices_are_the_encodings_in_key_order(self, value):
+        data = codec.encode(value)
+        items = codec.dict_items(data)
+        expected = sorted(
+            (codec.encode(k), codec.encode(v)) for k, v in value.items()
+        )
+        assert [(bytes(k), bytes(v)) for k, v in items] == expected
+
+    def test_slices_share_the_input_buffer(self):
+        data = codec.encode({"k": "v" * 100})
+        [(_, value)] = codec.dict_items(data)
+        assert value.obj is data  # a view of ``data``, not a copy
+
+    def test_nested_dict_value_parses_from_its_slice(self):
+        inner = {"a": [1], "b": {"c": 2}}
+        [(_, value)] = codec.dict_items(codec.encode({"pis": inner}))
+        assert [
+            (codec.decode(bytes(k)), codec.decode(bytes(v)))
+            for k, v in codec.dict_items(value)
+        ] == sorted(inner.items())
+
+    @pytest.mark.parametrize(
+        "value", [[1, 2], (("k", 1),), "dict", 7, None, frozenset({1}), Point(1, 2)]
+    )
+    def test_rejects_encodings_of_non_dicts(self, value):
+        with pytest.raises(CodecError):
+            codec.dict_items(codec.encode(value))
+
+    def test_rejects_every_truncation(self):
+        data = codec.encode({"a": 1, "b": (2, "three")})
+        for end in range(len(data)):
+            with pytest.raises(CodecError):
+                codec.dict_items(data[:end])
+
+    def test_rejects_trailing_bytes(self):
+        with pytest.raises(CodecError):
+            codec.dict_items(codec.encode({"a": 1}) + b"N")
+
+
 class TestEncodingKey:
     def test_total_order_is_consistent(self):
         values = [1, 2, "a", "b", (1,), (2,)]
